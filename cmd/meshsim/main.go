@@ -10,19 +10,16 @@
 //	meshsim -mesh 8x8x8 -topo torus -algo AB          # dateline VCs
 //	meshsim -mesh 64x64x32 -store lazy -algo RD       # paged state
 //	meshsim -mesh 8x8x8 -calendar heap -mode cv       # legacy kernel
-//	meshsim -mesh 16x16x8 -mode cv -shards 8          # parallel kernel
 //	meshsim -mesh 8x8x8 -mode cv -faults 8            # degraded study
 //
-// The -topo, -store, -calendar, -shards and -faults flags mirror
-// cmd/sweep's: torus topologies run with two dateline virtual
-// channels per physical channel, "lazy" pages network state in on
-// first contention (with implicit adjacency, so huge shapes need no
-// up-front allocation), the calendar selects the kernel's event
-// queue, -shards partitions the one simulation across that many
-// calendars of the conservative-parallel kernel, and -faults fails
-// that many random undirected links before traffic starts (cv mode,
-// reported as a coverage/drop study). Output is byte-identical across
-// stores, calendars and shard counts at a fixed seed.
+// The -topo, -store, -calendar and -faults flags mirror cmd/sweep's:
+// torus topologies run with two dateline virtual channels per
+// physical channel, "lazy" pages network state in on first contention
+// (with implicit adjacency, so huge shapes need no up-front
+// allocation), the calendar selects the kernel's event queue, and
+// -faults fails that many random undirected links before traffic
+// starts (cv mode, reported as a coverage/drop study). Output is
+// byte-identical across stores and calendars at a fixed seed.
 package main
 
 import (
@@ -52,7 +49,6 @@ func main() {
 		topoKind = flag.String("topo", "mesh", "topology: mesh or torus (torus runs two dateline VCs)")
 		storeN   = flag.String("store", "auto", "substrate memory model: auto, dense, or lazy")
 		calName  = flag.String("calendar", "ladder", "event calendar backing the kernel: ladder or heap")
-		shards   = flag.Int("shards", 0, "partition the simulation across this many shard calendars (0/1 = serial; output is byte-identical)")
 		faults   = flag.Int("faults", 0, "fail this many random undirected links before traffic starts (cv mode only)")
 	)
 	flag.Parse()
@@ -79,7 +75,6 @@ func main() {
 	cfg.Ts = *ts
 	cfg.Beta = *beta
 	cfg.Store = store
-	cfg.Shards = *shards
 	if m.Wrap() {
 		cfg.VCs = 2 // dateline pair: deadlock freedom on wraparound rings
 	}

@@ -113,7 +113,7 @@ type applied struct {
 	e Event
 }
 
-func fire(_ *sim.Env, arg any) {
+func fire(arg any) {
 	a := arg.(*applied)
 	switch a.e.Kind {
 	case LinkDown:

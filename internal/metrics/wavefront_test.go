@@ -16,9 +16,9 @@ import (
 // Wavefront batch execution is an optimization, not a semantics
 // change: draining the calendar one equal-due run at a time must be
 // bit-for-bit identical to popping one event at a time — on any
-// topology, either state store, contended or fault-degraded, at any
-// shard count, on either calendar. These tests pin that contract the
-// same way the sharded and heap/ladder differentials pin theirs.
+// topology, either state store, contended or fault-degraded, on
+// either calendar. These tests pin that contract the same way the
+// heap/ladder differentials pin theirs.
 
 // wfDiffCase is one random wavefront differential scenario.
 type wfDiffCase struct {
@@ -26,15 +26,20 @@ type wfDiffCase struct {
 	torus  bool
 	algoIx int
 	seed   uint64
-	shards int
 	store  network.StoreMode
 	links  int     // failed links (0 = pristine)
 	grace  float64 // DeadWait when faulted
 }
 
+var wfDiffAlgos = []broadcast.Algorithm{
+	broadcast.NewRD(), broadcast.NewDB(), broadcast.NewAB(), broadcast.NewEDN(),
+}
+
 // Generate implements quick.Generator: 1–3 dimensions of extent 2–5,
-// mesh or torus, an algorithm the dimensionality supports, dense or
-// lazy store, 2–6 shards, 0–8 failed links.
+// mesh or torus, an algorithm the dimensionality supports (RD is
+// dimension-agnostic, DB/AB need 2D or 3D, EDN needs 3D), dense or
+// lazy store, 0–8 failed links (clamped to the link count on tiny
+// shapes).
 func (wfDiffCase) Generate(r *rand.Rand, _ int) reflect.Value {
 	nd := 1 + r.Intn(3)
 	dims := make([]int, nd)
@@ -53,7 +58,6 @@ func (wfDiffCase) Generate(r *rand.Rand, _ int) reflect.Value {
 		torus:  r.Intn(2) == 1,
 		algoIx: r.Intn(nAlgos),
 		seed:   r.Uint64(),
-		shards: 2 + r.Intn(5),
 		store:  network.StoreMode(1 + r.Intn(2)), // StoreDense or StoreLazy
 		links:  r.Intn(3) * 4,
 		grace:  float64(r.Intn(2)) * 5,
@@ -68,31 +72,30 @@ func (c wfDiffCase) mesh() *topology.Mesh {
 	return topology.NewMesh(c.dims...)
 }
 
-func (c wfDiffCase) netConfig(shards int) network.Config {
+func (c wfDiffCase) netConfig() network.Config {
 	cfg := network.DefaultConfig()
 	if c.torus {
 		cfg.VCs = 2
 	}
 	cfg.Store = c.store
-	cfg.Shards = shards
 	return cfg
 }
 
 // contended runs the contended CV study under the given knobs.
-func (c wfDiffCase) contended(wavefront bool, shards int) (*SingleSourceStats, error) {
+func (c wfDiffCase) contended(wavefront bool) (*SingleSourceStats, error) {
 	defer sim.SetDefaultWavefront(sim.DefaultWavefront())
 	sim.SetDefaultWavefront(wavefront)
-	return ContendedCVStudy(c.mesh(), shardDiffAlgos[c.algoIx], ContendedConfig{
-		Net: c.netConfig(shards), Length: 16, Broadcasts: 8, Interarrival: 2, Seed: c.seed,
+	return ContendedCVStudy(c.mesh(), wfDiffAlgos[c.algoIx], ContendedConfig{
+		Net: c.netConfig(), Length: 16, Broadcasts: 8, Interarrival: 2, Seed: c.seed,
 	})
 }
 
 // degraded runs the fault-degraded study under the given knobs.
-func (c wfDiffCase) degraded(wavefront bool, shards int) (*DegradationStats, error) {
+func (c wfDiffCase) degraded(wavefront bool) (*DegradationStats, error) {
 	defer sim.SetDefaultWavefront(sim.DefaultWavefront())
 	sim.SetDefaultWavefront(wavefront)
 	m := c.mesh()
-	ncfg := c.netConfig(shards)
+	ncfg := c.netConfig()
 	ncfg.DeadWait = c.grace
 	var plan *fault.Plan
 	if c.links > 0 {
@@ -106,7 +109,7 @@ func (c wfDiffCase) degraded(wavefront bool, shards int) (*DegradationStats, err
 			return nil, err
 		}
 	}
-	return DegradedStudy(m, shardDiffAlgos[c.algoIx], DegradedConfig{
+	return DegradedStudy(m, wfDiffAlgos[c.algoIx], DegradedConfig{
 		Net: ncfg, Length: 16, Broadcasts: 8, Interarrival: 2,
 		Seed: c.seed, Faults: plan,
 	})
@@ -114,77 +117,71 @@ func (c wfDiffCase) degraded(wavefront bool, shards int) (*DegradationStats, err
 
 // TestWavefrontContendedStudySmoke is the readable fixed-shape twin of
 // the quick.Check suite: wavefront off must match wavefront on, on
-// both calendars, at shards 1, 2 and 8.
+// both calendars.
 func TestWavefrontContendedStudySmoke(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	run := func(cal sim.Calendar, wavefront bool, shards int) *SingleSourceStats {
+	run := func(cal sim.Calendar, wavefront bool) *SingleSourceStats {
 		oldCal := sim.DefaultCalendar()
 		sim.SetDefaultCalendar(cal)
 		defer sim.SetDefaultCalendar(oldCal)
 		oldWF := sim.DefaultWavefront()
 		sim.SetDefaultWavefront(wavefront)
 		defer sim.SetDefaultWavefront(oldWF)
-		ncfg := network.DefaultConfig()
-		ncfg.Shards = shards
 		st, err := ContendedCVStudy(m, broadcast.NewRD(), ContendedConfig{
-			Net: ncfg, Length: 32, Broadcasts: 24, Interarrival: 2, Seed: 7,
+			Net: network.DefaultConfig(), Length: 32, Broadcasts: 24, Interarrival: 2, Seed: 7,
 		})
 		if err != nil {
-			t.Fatalf("calendar=%v wavefront=%v shards=%d: %v", cal, wavefront, shards, err)
+			t.Fatalf("calendar=%v wavefront=%v: %v", cal, wavefront, err)
 		}
 		return st
 	}
-	base := run(sim.Ladder, true, 1)
+	base := run(sim.Ladder, true)
 	for _, cal := range []sim.Calendar{sim.Ladder, sim.Heap} {
 		for _, wavefront := range []bool{true, false} {
-			for _, shards := range []int{1, 2, 8} {
-				if got := run(cal, wavefront, shards); !reflect.DeepEqual(base, got) {
-					t.Errorf("calendar=%v wavefront=%v shards=%d diverges:\nbase: %+v\ngot:  %+v",
-						cal, wavefront, shards, base, got)
-				}
+			if got := run(cal, wavefront); !reflect.DeepEqual(base, got) {
+				t.Errorf("calendar=%v wavefront=%v diverges:\nbase: %+v\ngot:  %+v",
+					cal, wavefront, base, got)
 			}
 		}
 	}
 }
 
 // TestWavefrontStudiesIdenticalQuick is the differential suite: random
-// meshes and tori × dense/lazy stores × fault plans × shard counts,
-// contended and degraded workloads — wavefront on and off must be
-// byte-identical at every point.
+// meshes and tori × dense/lazy stores × fault plans, contended and
+// degraded workloads — wavefront on and off must be byte-identical at
+// every point.
 func TestWavefrontStudiesIdenticalQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is not short")
 	}
 	prop := func(c wfDiffCase) bool {
-		for _, shards := range []int{1, c.shards} {
-			on, err := c.contended(true, shards)
-			if err != nil {
-				t.Logf("case %+v: contended wavefront-on shards=%d: %v", c, shards, err)
-				return false
-			}
-			off, err := c.contended(false, shards)
-			if err != nil {
-				t.Logf("case %+v: contended wavefront-off shards=%d: %v", c, shards, err)
-				return false
-			}
-			if !reflect.DeepEqual(on, off) {
-				t.Logf("case %+v: contended shards=%d diverges\non:  %+v\noff: %+v", c, shards, on, off)
-				return false
-			}
-			dOn, err := c.degraded(true, shards)
-			if err != nil {
-				t.Logf("case %+v: degraded wavefront-on shards=%d: %v", c, shards, err)
-				return false
-			}
-			dOff, err := c.degraded(false, shards)
-			if err != nil {
-				t.Logf("case %+v: degraded wavefront-off shards=%d: %v", c, shards, err)
-				return false
-			}
-			if !reflect.DeepEqual(dOn, dOff) {
-				t.Logf("case %+v: degraded shards=%d diverges\non:  %+v\noff: %+v", c, shards, dOn, dOff)
-				return false
-			}
+		on, err := c.contended(true)
+		if err != nil {
+			t.Logf("case %+v: contended wavefront-on: %v", c, err)
+			return false
+		}
+		off, err := c.contended(false)
+		if err != nil {
+			t.Logf("case %+v: contended wavefront-off: %v", c, err)
+			return false
+		}
+		if !reflect.DeepEqual(on, off) {
+			t.Logf("case %+v: contended diverges\non:  %+v\noff: %+v", c, on, off)
+			return false
+		}
+		dOn, err := c.degraded(true)
+		if err != nil {
+			t.Logf("case %+v: degraded wavefront-on: %v", c, err)
+			return false
+		}
+		dOff, err := c.degraded(false)
+		if err != nil {
+			t.Logf("case %+v: degraded wavefront-off: %v", c, err)
+			return false
+		}
+		if !reflect.DeepEqual(dOn, dOff) {
+			t.Logf("case %+v: degraded diverges\non:  %+v\noff: %+v", c, dOn, dOff)
+			return false
 		}
 		return true
 	}

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -48,8 +47,9 @@ type healthState struct {
 
 // parkToken guards a parked worm's timeout record. The calendar entry
 // references the token, not the worm: by the time the timeout fires
-// the worm may have been revived — or revived, drained and recycled —
-// so the handler must no-op unless the worm still carries THIS token.
+// the worm may have been revived — or revived, drained and recycled
+// into another network on another goroutine. Reviving a worm clears
+// its token's w, so a stale timeout never touches the worm at all.
 type parkToken struct{ w *worm }
 
 func (n *Network) ensureHealth() *healthState {
@@ -58,14 +58,6 @@ func (n *Network) ensureHealth() *healthState {
 			linkDown: make([]bool, n.topo.ChannelSlots()),
 			nodeDown: make([]bool, n.topo.Nodes()),
 		}
-		// A degraded network loses its lookahead: a dropped worm
-		// releases its whole held chain instantly across shards, and
-		// kicks/revivals re-route worms synchronously. The sharded
-		// kernel falls back to coordinator-only execution for the rest
-		// of the run (identical output, no parallel segments). Faults
-		// are always injected from serial-class events, so this fires
-		// on the coordinator between segments.
-		n.sim.Degrade()
 	}
 	return n.health
 }
@@ -180,7 +172,7 @@ func (n *Network) kickWaiters(ch topology.ChannelID) {
 				panic("network: queued worm not waiting on this channel")
 			}
 			w.waiting = topology.InvalidChannel
-			n.advance(n.sim.Env(), w)
+			n.advance(w)
 		}
 	}
 }
@@ -188,30 +180,30 @@ func (n *Network) kickWaiters(ch topology.ChannelID) {
 // parkOrDrop handles a worm with no live admissible next hop: park it
 // for DeadWait µs awaiting a recovery, or drop it immediately when no
 // grace is configured.
-func (n *Network) parkOrDrop(env *sim.Env, w *worm) {
+func (n *Network) parkOrDrop(w *worm) {
 	if n.deadWait > 0 {
 		tk := &parkToken{w: w}
 		w.parkToken = tk
 		n.parked = append(n.parked, w)
-		env.AfterCall(n.deadWait, parkTimeoutEvent, tk)
+		n.sim.AfterCall(n.deadWait, parkTimeoutEvent, tk)
 		return
 	}
-	n.dropWorm(env, w)
+	n.dropWorm(w)
 }
 
 // parkTimeoutEvent fires DeadWait after a worm parked. The token
-// check makes stale records harmless: a revived (or long recycled)
-// worm no longer carries this token.
-func parkTimeoutEvent(env *sim.Env, arg any) {
+// check makes stale records harmless: a revived worm's token no
+// longer names it.
+func parkTimeoutEvent(arg any) {
 	tk := arg.(*parkToken)
 	w := tk.w
-	if w.parkToken != tk {
+	if w == nil {
 		return
 	}
 	w.parkToken = nil
 	n := w.net
 	n.unpark(w)
-	n.dropWorm(env, w)
+	n.dropWorm(w)
 }
 
 // unpark removes w from the parked list, preserving order.
@@ -235,8 +227,9 @@ func (n *Network) reviveParked() {
 	ws := n.parked
 	n.parked = nil
 	for _, w := range ws {
+		w.parkToken.w = nil
 		w.parkToken = nil
-		n.advance(n.sim.Env(), w)
+		n.advance(w)
 	}
 }
 
@@ -245,7 +238,7 @@ func (n *Network) reviveParked() {
 // counted, the Transfer's OnPath/OnDrop hooks fire, and the worm
 // returns to the pool. No delivery ever fires for a dropped worm —
 // its body never drained past any waypoint.
-func (n *Network) dropWorm(env *sim.Env, w *worm) {
+func (n *Network) dropWorm(w *worm) {
 	if w.waiting != topology.InvalidChannel {
 		panic("network: dropping a queued worm")
 	}
@@ -254,18 +247,18 @@ func (n *Network) dropWorm(env *sim.Env, w *worm) {
 	}
 	n.activeRemove(w)
 	n.dropped++
-	n.releasePort(env, w.t.Source)
+	n.releasePort(w.t.Source)
 	// w.chans survives intact through the releases (release indexes the
 	// network's channel table, not the worm), so the path-order walk is
 	// safe; putWorm truncates it afterwards.
 	for _, lane := range w.chans {
-		n.release(env, lane)
+		n.release(lane)
 	}
 	if w.t.OnPath != nil {
 		w.t.OnPath(w.path, false)
 	}
 	if w.t.OnDrop != nil {
-		w.t.OnDrop(env.Now())
+		w.t.OnDrop(n.sim.Now())
 	}
 	n.putWorm(w)
 }

@@ -222,22 +222,11 @@ func TestConfigValidation(t *testing.T) {
 		{Ts: -1, Beta: 0.003},
 		{Ts: 1, Beta: 0},
 		{Ts: 1, Beta: 0.01, HopDelay: -2},
-		// Sharded runs require every delay a shard-class event can
-		// schedule — the Ts-delayed injection grant and any positive
-		// DeadWait park timeout — to respect the per-hop lookahead.
-		{Ts: 0.001, Beta: 0.003, Shards: 2},
-		{Ts: 1, Beta: 0.003, DeadWait: 0.001, Shards: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := New(s, m, cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
-	}
-	// A zero DeadWait schedules nothing (dead-ended worms drop on the
-	// spot), so it stays valid under sharding.
-	ok := Config{Ts: 1, Beta: 0.003, Shards: 2}
-	if _, err := New(sim.New(), m, ok); err != nil {
-		t.Errorf("valid sharded config rejected: %v", err)
 	}
 }
 

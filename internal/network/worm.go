@@ -28,8 +28,7 @@ type worm struct {
 	grants  []sim.Time           // grant time per hop (channel i = path[i]->path[i+1])
 	chans   []topology.ChannelID // acquired channel LANES in order (channel·vcs + vc)
 	deliver []int                // hop index (1-based node position) per waypoint
-	relCur  int                  // next entry of chans to release (serial drain events)
-	relRecs []laneRel            // sharded drain-event records, one per acquired lane
+	relCur  int                  // next entry of chans to release (drain events)
 	delCur  int                  // next entry of deliver to fire (delivery events)
 	waiting topology.ChannelID   // channel lane whose queue the worm sits in, or -1
 	started sim.Time             // injection request time
@@ -106,7 +105,6 @@ func (n *Network) putWorm(w *worm) {
 	w.grants = w.grants[:0]
 	w.chans = w.chans[:0]
 	w.deliver = w.deliver[:0]
-	w.relRecs = w.relRecs[:0]
 	w.relCur, w.delCur = 0, 0
 	w.waiting = topology.InvalidChannel
 	w.started, w.portAt = 0, 0
@@ -119,65 +117,41 @@ func (n *Network) putWorm(w *worm) {
 
 // Prebuilt event bodies: the network schedules (func, worm) records,
 // never closures, so the per-hop scheduling path does not allocate.
-func requestPortEvent(env *sim.Env, arg any) { w := arg.(*worm); w.net.requestPort(env, w) }
-func advanceEvent(env *sim.Env, arg any)     { w := arg.(*worm); w.net.advance(env, w) }
+func requestPortEvent(arg any) { w := arg.(*worm); w.net.requestPort(w) }
+func advanceEvent(arg any)     { w := arg.(*worm); w.net.advance(w) }
 
-// laneRel is the sharded drain-event record for one acquired lane.
-// The record names its lane explicitly (not a shared cursor): on a
-// sharded network one worm's releases land on different shards and
-// may execute concurrently within a segment, so they cannot share
-// mutable per-worm state. Records live in the worm's pooled relRecs
-// slice, so scheduling them stays allocation-free after pool warm-up
-// — and a serial network never builds them at all (see complete), so
-// its worms stay exactly as small as before the parallel kernel.
-type laneRel struct {
-	w    *worm
-	lane topology.ChannelID
-}
-
-// releaseLaneEvent frees one of the worm's acquired channels as its
-// tail passes.
-func releaseLaneEvent(env *sim.Env, arg any) {
-	r := arg.(*laneRel)
-	r.w.net.release(env, r.lane)
-}
-
-// releaseNextEvent is the serial twin of releaseLaneEvent: it frees
-// the worm's next acquired channel in pipeline order. complete
-// schedules these at nondecreasing times in channel order on one
-// calendar, so the cursor always names the channel this record meant.
-func releaseNextEvent(env *sim.Env, arg any) {
+// releaseNextEvent frees the worm's next acquired channel in pipeline
+// order. complete schedules these at nondecreasing times in channel
+// order, so the cursor always names the channel this record meant.
+func releaseNextEvent(arg any) {
 	w := arg.(*worm)
 	i := w.relCur
 	w.relCur++
-	w.net.release(env, w.chans[i])
+	w.net.release(w.chans[i])
 }
 
 // deliverNextEvent fires the worm's next waypoint delivery; the event
 // fires at the scheduled (clamped) arrival time, so Now() is the
-// delivery timestamp. Serial-class (coordinator-only), so the cursor
-// needs no guard.
-func deliverNextEvent(env *sim.Env, arg any) {
+// delivery timestamp.
+func deliverNextEvent(arg any) {
 	w := arg.(*worm)
 	i := w.delCur
 	w.delCur++
-	w.t.OnDeliver(w.t.Waypoints[i], env.Now())
+	w.t.OnDeliver(w.t.Waypoints[i], w.net.sim.Now())
 }
 
-func releasePortEvent(env *sim.Env, arg any) { w := arg.(*worm); w.net.releasePort(env, w.t.Source) }
+func releasePortEvent(arg any) { w := arg.(*worm); w.net.releasePort(w.t.Source) }
 
 // finishWorm retires the worm when its tail fully drains. It fires at
 // tdone with the largest sequence number of the worm's records, so
-// recycling here cannot race an unfired release/delivery; it is
-// serial-class, and every release below its key has executed by the
-// time the coordinator reaches it.
-func finishWorm(env *sim.Env, arg any) {
+// recycling here cannot race an unfired release/delivery.
+func finishWorm(arg any) {
 	w := arg.(*worm)
 	n := w.net
 	n.activeRemove(w)
 	n.finished++
 	if w.t.OnDone != nil {
-		w.t.OnDone(env.Now())
+		w.t.OnDone(n.sim.Now())
 	}
 	if w.t.OnPath != nil {
 		w.t.OnPath(w.path, true)
@@ -241,32 +215,30 @@ func (n *Network) MustSend(start sim.Time, t *Transfer) {
 }
 
 // requestPort claims an injection port at the worm's source or queues
-// for one. Serial-class: port state is coordinator-owned.
-func (n *Network) requestPort(env *sim.Env, w *worm) {
+// for one.
+func (n *Network) requestPort(w *worm) {
 	p := n.port(w.t.Source)
 	if p.inUse < n.nports {
 		p.inUse++
-		n.grantPort(env, w)
+		n.grantPort(w)
 		return
 	}
 	p.queue.Push(w)
 }
 
 // grantPort starts the startup latency; afterwards the header begins
-// to walk. The first advance can never complete the worm (a transfer
-// may not start at its own first waypoint), so it is shard-class on
-// the source's owner.
-func (n *Network) grantPort(env *sim.Env, w *worm) {
-	w.portAt = env.Now()
-	env.AfterCallShard(n.cfg.Ts, advanceEvent, w, n.ownerOf(w.t.Source))
+// to walk.
+func (n *Network) grantPort(w *worm) {
+	w.portAt = n.sim.Now()
+	n.sim.AfterCall(n.cfg.Ts, advanceEvent, w)
 }
 
 // releasePort returns the source's injection port and admits the next
-// queued worm, if any. Serial-class.
-func (n *Network) releasePort(env *sim.Env, node topology.NodeID) {
+// queued worm, if any.
+func (n *Network) releasePort(node topology.NodeID) {
 	p := n.port(node)
 	if p.queue.Len() > 0 {
-		n.grantPort(env, p.queue.Pop())
+		n.grantPort(p.queue.Pop())
 		return
 	}
 	p.inUse--
@@ -277,29 +249,26 @@ func (n *Network) releasePort(env *sim.Env, node topology.NodeID) {
 
 // advance moves the worm's header one hop, or completes the worm when
 // the final waypoint is reached. Called at the moment the header sits
-// at w.cur ready to move. Shard-class on w.cur's owner: everything it
-// touches — the candidate lanes out of w.cur, their wait queues, the
-// worm's own record — belongs to that shard, except completion, which
-// acquire routes to the coordinator (see the completing test there).
-func (n *Network) advance(env *sim.Env, w *worm) {
+// at w.cur ready to move.
+func (n *Network) advance(w *worm) {
 	// Record any waypoint hit at the current node.
 	for w.wpIdx < len(w.t.Waypoints) && w.cur == w.t.Waypoints[w.wpIdx] {
 		w.deliver = append(w.deliver, len(w.chans))
 		w.wpIdx++
 	}
 	if w.wpIdx == len(w.t.Waypoints) {
-		n.complete(env, w)
+		n.complete(w)
 		return
 	}
 	dst := w.t.Waypoints[w.wpIdx]
 	h := n.health
 	if h != nil && h.nodeDown[w.cur] {
 		// The header sits at a node that failed under it: fail-stop.
-		n.parkOrDrop(env, w)
+		n.parkOrDrop(w)
 		return
 	}
 	if w.chApp != nil {
-		n.advanceChannels(env, w, dst, h)
+		n.advanceChannels(w, dst, h)
 		return
 	}
 	// Foreign selector: route through the node-append path when
@@ -309,9 +278,8 @@ func (n *Network) advance(env *sim.Env, w *worm) {
 	// trusted (their coordinate walks cannot emit a non-neighbor).
 	var cands []topology.NodeID
 	if w.hopApp != nil {
-		buf := n.scratch(env)
-		*buf = w.hopApp.AppendNextHops((*buf)[:0], w.cur, dst)
-		cands = *buf
+		n.candScratch = w.hopApp.AppendNextHops(n.candScratch[:0], w.cur, dst)
+		cands = n.candScratch
 	} else {
 		cands = w.sel.NextHops(w.cur, dst)
 	}
@@ -356,7 +324,7 @@ func (n *Network) advance(env *sim.Env, w *worm) {
 		if firstLive < 0 {
 			// Every admissible hop is dead: the worm cannot make
 			// progress on the degraded network.
-			n.parkOrDrop(env, w)
+			n.parkOrDrop(w)
 			return
 		}
 		// All live candidates busy: wait FIFO on the most preferred
@@ -369,7 +337,7 @@ func (n *Network) advance(env *sim.Env, w *worm) {
 		n.lane(lane).queue.Push(w)
 		return
 	}
-	n.acquire(env, w, pick, pickLane)
+	n.acquire(w, pick, pickLane)
 }
 
 // advanceChannels is advance's candidate loop over channel-resolved
@@ -378,10 +346,9 @@ func (n *Network) advance(env *sim.Env, w *worm) {
 // so no candidate pays the endpoint-pair channel derivation. Same
 // preference order, same adaptive first-free-lane choice, same
 // fault filtering and FIFO wait as the generic loop above.
-func (n *Network) advanceChannels(env *sim.Env, w *worm, dst topology.NodeID, h *healthState) {
-	buf := n.hopScratchFor(env)
-	hops := w.chApp.AppendNextChannels((*buf)[:0], w.cur, dst)
-	*buf = hops
+func (n *Network) advanceChannels(w *worm, dst topology.NodeID, h *healthState) {
+	hops := w.chApp.AppendNextChannels(n.hopScratch[:0], w.cur, dst)
+	n.hopScratch = hops
 	if len(hops) == 0 {
 		panic(fmt.Sprintf("network: no route from %d to %d for %s", w.cur, dst, w.describe()))
 	}
@@ -398,13 +365,13 @@ func (n *Network) advanceChannels(env *sim.Env, w *worm, dst topology.NodeID, h 
 		base := int(ch) * n.vcs
 		for l := lo; l < hi; l++ {
 			if n.laneFree(topology.ChannelID(base + l)) {
-				n.acquire(env, w, cand, topology.ChannelID(base+l))
+				n.acquire(w, cand, topology.ChannelID(base+l))
 				return
 			}
 		}
 	}
 	if firstLive < 0 {
-		n.parkOrDrop(env, w)
+		n.parkOrDrop(w)
 		return
 	}
 	cand, ch := hops[firstLive].Node, hops[firstLive].Ch
@@ -435,10 +402,8 @@ func (n *Network) laneRange(w *worm, next, dst topology.NodeID) (int, int) {
 }
 
 // acquire grants channel ch to w and schedules the header's arrival at
-// the next node, one hop delay out — the event that carries the worm
-// across a shard boundary, and the reason the hop delay is a hard
-// lookahead bound.
-func (n *Network) acquire(env *sim.Env, w *worm, next topology.NodeID, ch topology.ChannelID) {
+// the next node, one hop delay out.
+func (n *Network) acquire(w *worm, next topology.NodeID, ch topology.ChannelID) {
 	st := n.lane(ch)
 	if st.holder != nil {
 		panic("network: acquiring a held channel")
@@ -451,40 +416,23 @@ func (n *Network) acquire(env *sim.Env, w *worm, next topology.NodeID, ch topolo
 		}
 	}
 	st.holder = w
-	now := env.Now()
-	n.noteAcquire(ch, now)
+	n.noteAcquire(ch)
 	w.waiting = topology.InvalidChannel
-	w.grants = append(w.grants, now)
+	w.grants = append(w.grants, n.sim.Now())
 	w.chans = append(w.chans, ch)
 	w.path = append(w.path, next)
 	w.cur = next
-	// Shard classification of the arrival. An arrival at the final
-	// waypoint completes the worm, and complete schedules deliveries,
-	// port release and retirement — callbacks that feed back into the
-	// workload, and zero-lookahead records that may land on other
-	// shards. Those must run at their exact serial position, so a
-	// completing arrival is serial-class: the coordinator executes it
-	// in global order. The test is exact because consecutive waypoints
-	// are distinct (Send validates), so a non-final or non-waypoint
-	// arrival can never reach complete.
-	sh := int32(-1)
-	if n.part != nil && !(w.wpIdx == len(w.t.Waypoints)-1 && next == w.t.Waypoints[w.wpIdx]) {
-		sh = int32(n.part.Owner(next))
-	}
-	env.AfterCallShard(n.hop, advanceEvent, w, sh)
+	n.sim.AfterCall(n.hop, advanceEvent, w)
 }
 
 // release frees channel ch and grants it to the head of its queue.
-// Shard-class on the lane's owner: its waiters are worms whose header
-// sits at the lane's source node, so admitting them stays inside the
-// shard.
-func (n *Network) release(env *sim.Env, ch topology.ChannelID) {
+func (n *Network) release(ch topology.ChannelID) {
 	st := n.lane(ch)
 	if st.holder == nil {
 		panic("network: releasing a free channel")
 	}
 	st.holder = nil
-	n.noteRelease(ch, env.Now())
+	n.noteRelease(ch)
 	// Keep admitting waiters until one takes the channel or the queue
 	// empties: an adaptive worm at the head may grab a different free
 	// channel when re-routed, and the waiters behind it must not be
@@ -495,25 +443,15 @@ func (n *Network) release(env *sim.Env, ch topology.ChannelID) {
 			panic("network: queued worm not waiting on this channel")
 		}
 		next.waiting = topology.InvalidChannel
-		n.advance(env, next)
+		n.advance(next)
 	}
 }
 
 // complete fires when the header has arrived at the final waypoint.
 // The body drains at Beta per flit; channel i releases and waypoint
 // deliveries fire in pipeline order behind the tail.
-//
-// complete always executes on the coordinator: its releases clamp to
-// "now" when the path is longer than the body (zero lookahead, any
-// shard), and its delivery/retirement callbacks feed the workload's
-// injection loop, so all of its records need exact global sequence
-// numbers. acquire guarantees this by classifying completing arrivals
-// serial-class; the panic pins that invariant.
-func (n *Network) complete(env *sim.Env, w *worm) {
-	if !env.Coordinator() {
-		panic("network: complete on a shard worker")
-	}
-	now := env.Now()
+func (n *Network) complete(w *worm) {
+	now := n.sim.Now()
 	beta := n.beta
 	drain := float64(w.t.Length) * beta
 	tdone := now + drain
@@ -523,33 +461,14 @@ func (n *Network) complete(env *sim.Env, w *worm) {
 	// channel is granted the body streams freely, one flit per Beta
 	// per channel, and nothing drained earlier because wormhole
 	// back-pressure held all flits in place while the header stalled.
-	// Times are nondecreasing in i, matching acquisition order. On a
-	// serial network the cursor-driven records fire against chans in
-	// order and cost nothing; only a sharded network builds explicit
-	// per-lane records, because the releases fan out to per-shard
-	// calendars where a shared cursor would race. Build every record
-	// before scheduling any: append may regrow the slice, and the
-	// calendar must hold pointers into the final array.
-	if n.part == nil {
-		for i := range w.chans {
-			at := tdone - float64(hops-1-i)*beta
-			if at < now {
-				at = now
-			}
-			env.AtCall(at, releaseNextEvent, w)
+	// Times are nondecreasing in i, so the cursor-driven records fire
+	// against chans in order.
+	for i := range w.chans {
+		at := tdone - float64(hops-1-i)*beta
+		if at < now {
+			at = now
 		}
-	} else {
-		w.relRecs = w.relRecs[:0]
-		for _, lane := range w.chans {
-			w.relRecs = append(w.relRecs, laneRel{w: w, lane: lane})
-		}
-		for i := range w.relRecs {
-			at := tdone - float64(hops-1-i)*beta
-			if at < now {
-				at = now
-			}
-			env.AtCallShard(at, releaseLaneEvent, &w.relRecs[i], n.laneOwner(w.relRecs[i].lane))
-		}
+		n.sim.AtCall(at, releaseNextEvent, w)
 	}
 
 	// A waypoint reached after hop h receives its tail when channel
@@ -560,7 +479,7 @@ func (n *Network) complete(env *sim.Env, w *worm) {
 			if at < now {
 				at = now
 			}
-			env.AtCall(at, deliverNextEvent, w)
+			n.sim.AtCall(at, deliverNextEvent, w)
 		}
 	}
 
@@ -569,7 +488,7 @@ func (n *Network) complete(env *sim.Env, w *worm) {
 	if portFree < now {
 		portFree = now
 	}
-	env.AtCall(portFree, releasePortEvent, w)
+	n.sim.AtCall(portFree, releasePortEvent, w)
 
-	env.AtCall(tdone, finishWorm, w)
+	n.sim.AtCall(tdone, finishWorm, w)
 }

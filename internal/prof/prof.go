@@ -2,7 +2,7 @@
 // the standard runtime/pprof collectors, so every command exposes
 // profiling the same way `go test` does:
 //
-//	sweep -what fig2 -shards 8 -cpuprofile cpu.out
+//	sweep -what fig2 -cpuprofile cpu.out
 //	go tool pprof cpu.out
 package prof
 

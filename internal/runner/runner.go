@@ -14,8 +14,9 @@
 // every experiment is bit-identical for any worker count.
 //
 // The package deliberately has no dependency on the simulation
-// layers; it orchestrates arbitrary jobs and is the seam future
-// scaling work (sharded sweeps, multi-backend dispatch) plugs into.
+// layers; it orchestrates arbitrary jobs. It is the only source of
+// parallelism in the repo: each simulation runs on one serial event
+// kernel, and the pool fills the cores with replications.
 //
 // Typical use:
 //

@@ -9,12 +9,11 @@ package scenario
 // property.
 //
 // The canonical form is the spec AFTER applyDefaults and validate,
-// with the orchestration-only knobs removed: Procs, Progress and
-// Shards change how fast a run executes, never what it produces
-// (Procs pinned since PR 1; Shards pinned by the PR 9 sharded
-// differential suite and golden identity tests), so they must not
-// split the cache. Everything else — headings included, since they
-// appear in the rendered artifact — is part of the key.
+// with the orchestration-only knobs removed: Procs and Progress change
+// how fast a run executes, never what it produces (pinned since PR 1),
+// so they must not split the cache. Everything else — headings
+// included, since they appear in the rendered artifact — is part of
+// the key.
 
 import (
 	"crypto/sha256"

@@ -63,18 +63,6 @@ func WithProcs(procs int) Option {
 	return func(s *Spec) { s.Procs = procs }
 }
 
-// WithShards partitions each simulation across k shard calendars of
-// the conservative-parallel kernel (k <= 1 keeps the serial kernel).
-// Output never depends on it — the kernel is bit-deterministic at
-// every shard count.
-func WithShards(k int) Option {
-	return func(s *Spec) {
-		if k > 1 {
-			s.Shards = k
-		}
-	}
-}
-
 // WithProgress wires a live (done, total) completion reporter.
 func WithProgress(fn func(done, total int)) Option {
 	return func(s *Spec) { s.Progress = fn }

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/broadcast"
 	"repro/internal/metrics"
@@ -139,28 +138,17 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 // pool builds the worker pool for one run: Procs workers (0 = one per
 // core) ticking a live progress counter expecting total completions.
-// A sharded run multiplies threads per simulation, so the default
-// width shrinks to GOMAXPROCS/Shards — an explicit Procs is honoured
-// as given.
 func (s *Spec) pool(total int) *runner.Pool {
-	procs := s.Procs
-	if procs <= 0 && s.Shards > 1 {
-		procs = runtime.GOMAXPROCS(0) / s.Shards
-		if procs < 1 {
-			procs = 1
-		}
-	}
-	return runner.New(procs).NotifyEach(runner.NewProgress(total, s.Progress).Tick)
+	return runner.New(s.Procs).NotifyEach(runner.NewProgress(total, s.Progress).Tick)
 }
 
 // netConfig returns the paper's network constants with the spec's
-// startup latency, virtual-channel count and shard count.
+// startup latency and virtual-channel count.
 func (s *Spec) netConfig() network.Config {
 	cfg := network.DefaultConfig()
 	cfg.Ts = s.Ts
 	cfg.VCs = s.VCs
 	cfg.Store = s.storeMode()
-	cfg.Shards = s.Shards
 	return cfg
 }
 

@@ -173,6 +173,12 @@ func TestValidateRejectsContradictorySpecs(t *testing.T) {
 		{Workload: scenario.Contended, Metric: scenario.MetricCoverage},
 		{Workload: scenario.Contended, Metric: scenario.MetricInflation, Axis: scenario.AxisFaults, Xs: []float64{2, 4}},
 		{Workload: scenario.Contended, Axis: scenario.AxisFaults, Artifact: scenario.ArtifactTable1},
+		// Shapes the topology layer would panic on: a zero or negative
+		// extent in the fixed Dims or in any size-axis shape, or a
+		// shape with no dimensions at all.
+		{Workload: scenario.Contended, Axis: scenario.AxisInterarrival, Dims: []int{0, 4}},
+		{Workload: scenario.Uncontended, Axis: scenario.AxisLength, Dims: []int{}},
+		{Sizes: [][]int{{4, 4}, {4, -1}}},
 	}
 	for i, spec := range bad {
 		if _, err := scenario.Run(context.Background(), spec); err == nil {

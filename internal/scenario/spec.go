@@ -227,15 +227,6 @@ type Spec struct {
 	// 10× the measured window, 3× on meshes above 1024 nodes).
 	MaxInjected int
 
-	// Shards partitions EACH simulation across this many shard
-	// calendars of the conservative-parallel kernel (internal/sim).
-	// 0 or 1 is the serial kernel. Like Procs, Shards is an
-	// orchestration knob: output is bit-identical at every shard
-	// count (the kernel's core guarantee), so it is excluded from the
-	// canonical cache key. Shards multiply threads per simulation, so
-	// the run loop divides the default worker-pool width by Shards to
-	// keep total thread count at one per core.
-	Shards int
 	// Reps is the replication count: replications per point
 	// (uncontended), measured broadcasts per study (contended).
 	// Default 40; the ablations register 10.
@@ -391,6 +382,18 @@ func (s *Spec) validate() error {
 	if s.Topo != TopoMesh && s.Topo != TopoTorus {
 		return fmt.Errorf("scenario %s: unknown topology kind %q", s.Name, s.Topo)
 	}
+	if s.Dims != nil {
+		if err := checkShape("Dims", s.Dims); err != nil {
+			return fmt.Errorf("scenario %s: %w", s.Name, err)
+		}
+	}
+	if s.Axis == AxisSize {
+		for i, dims := range s.Sizes {
+			if err := checkShape(fmt.Sprintf("Sizes[%d]", i), dims); err != nil {
+				return fmt.Errorf("scenario %s: %w", s.Name, err)
+			}
+		}
+	}
 	switch s.Store {
 	case "", "auto", "dense", "lazy":
 	default:
@@ -524,9 +527,6 @@ func (s *Spec) validate() error {
 	if s.Reps <= 0 {
 		return fmt.Errorf("scenario %s: non-positive replication count %d", s.Name, s.Reps)
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("scenario %s: negative shard count %d", s.Name, s.Shards)
-	}
 	switch s.Artifact {
 	case ArtifactFigure:
 	case ArtifactTable1, ArtifactTable2:
@@ -548,6 +548,21 @@ func (s *Spec) validate() error {
 		}
 	default:
 		return fmt.Errorf("scenario %s: unknown artifact %q", s.Name, s.Artifact)
+	}
+	return nil
+}
+
+// checkShape rejects a topology shape the topology layer would panic
+// on: no dimensions, or an extent below 1. field names the spec field
+// the shape came from.
+func checkShape(field string, dims []int) error {
+	if len(dims) == 0 {
+		return fmt.Errorf("%s has no dimensions", field)
+	}
+	for d, k := range dims {
+		if k < 1 {
+			return fmt.Errorf("%s dimension %d has extent %d (want >= 1)", field, d, k)
+		}
 	}
 	return nil
 }

@@ -176,6 +176,40 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 	}
 }
 
+// TestBadShapeIsClientErrorAndDaemonSurvives posts a mesh with a
+// zero extent: Key validation must reject it as a 4xx before any
+// executor runs it, and the daemon must keep serving afterwards.
+func TestBadShapeIsClientErrorAndDaemonSurvives(t *testing.T) {
+	s := service.New(service.Config{Procs: 1, QueueCap: 4})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"scenario":"saturation","mesh":[0,4]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Errorf("POST mesh [0,4]: %s, want a 4xx: %s", resp.Status, body.String())
+	}
+	if !strings.Contains(body.String(), "Dims") {
+		t.Errorf("error does not name the field: %s", body.String())
+	}
+
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the bad request: %v %v", err, resp.Status)
+	}
+	resp.Body.Close()
+	if got := s.Counts().Misses; got != 0 {
+		t.Errorf("bad shape executed %d simulations", got)
+	}
+}
+
 // TestHTTPSurface exercises the wire layer end to end: miss then hit
 // with identical bodies and truthful cache headers, the scenario
 // listing, liveness, and the metrics exposition.

@@ -20,11 +20,9 @@ type Action func()
 // state: a Func plus an arg already in hand costs no allocation per
 // event, where a closure costs one. arg is typically a pointer (the
 // worm, the injector) so boxing it into the interface is free too.
-// The Env names the executing context — current time plus the
-// scheduling entry points; on a sharded simulator (shard.go) it is how
-// an event body running on a worker thread schedules follow-up events
-// without touching shared calendar state.
-type Func func(env *Env, arg any)
+// The body reads the clock and schedules follow-up events through the
+// Simulator it already holds.
+type Func func(arg any)
 
 // event is a calendar entry: an action record (fn, arg) due at a
 // time. seq breaks ties between events due at the same instant so
@@ -45,20 +43,18 @@ type event struct {
 // order (pinned by the differential tests in ladder_test.go).
 //
 // popWavefront appends to dst the maximal front run of events that
-// share the earliest due time, bounded exclusively by (limDue,
-// limSeq), and removes them from the calendar. The run is returned in
-// (due, seq) order — exactly the order repeated pop calls would yield
-// — so executing it front to back is indistinguishable from popping
-// one event at a time. An empty append means the front event is at or
-// past the bound. dst is caller-owned scratch: the returned events
-// are copies, never views into calendar storage. Pass limDue =
-// +Inf, limSeq = MaxUint64 for an unbounded wavefront.
+// share the earliest due time and removes them from the calendar. The
+// run is returned in (due, seq) order — exactly the order repeated pop
+// calls would yield — so executing it front to back is
+// indistinguishable from popping one event at a time. dst is
+// caller-owned scratch: the returned events are copies, never views
+// into calendar storage.
 type calendar interface {
 	Len() int
 	push(event)
 	pop() event
 	peek() event
-	popWavefront(dst []event, limDue Time, limSeq uint64) []event
+	popWavefront(dst []event) []event
 }
 
 // eventBefore reports whether a fires before b: earlier due first,
@@ -134,23 +130,16 @@ func (q *eventQueue) peek() event {
 	return q.items[0]
 }
 
-// popWavefront pops the front equal-due run under the bound. On the
-// heap this is a loop of ordinary O(log n) pops — the heap gains no
-// speed from batching, it exists so wavefront execution produces
-// byte-identical output on either calendar.
-func (q *eventQueue) popWavefront(dst []event, limDue Time, limSeq uint64) []event {
+// popWavefront pops the front equal-due run. On the heap this is a
+// loop of ordinary O(log n) pops — the heap gains no speed from
+// batching, it exists so wavefront execution produces byte-identical
+// output on either calendar.
+func (q *eventQueue) popWavefront(dst []event) []event {
 	if len(q.items) == 0 {
 		panic("sim: pop from empty calendar")
 	}
 	due := q.items[0].due
-	if due > limDue || (due == limDue && q.items[0].seq >= limSeq) {
-		return dst
-	}
-	for len(q.items) > 0 {
-		f := &q.items[0]
-		if f.due != due || (due == limDue && f.seq >= limSeq) {
-			break
-		}
+	for len(q.items) > 0 && q.items[0].due == due {
 		dst = append(dst, q.pop())
 	}
 	return dst

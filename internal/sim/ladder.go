@@ -474,11 +474,11 @@ func (q *ladderQueue) pop() event {
 	return e
 }
 
-// popWavefront pops the front equal-due run under the bound in one
-// sweep of the bottom window. This is where batching pays: the refill
-// check, cursor advance and free-list bookkeeping are done once per
-// run instead of once per event, and the run is read straight out of
-// the already-sorted bottom span.
+// popWavefront pops the front equal-due run in one sweep of the bottom
+// window. This is where batching pays: the refill check, cursor
+// advance and free-list bookkeeping are done once per run instead of
+// once per event, and the run is read straight out of the
+// already-sorted bottom span.
 //
 // The run never needs to look past bottom: equal dues always route to
 // the same bucket and drain together, so when bottom's front holds
@@ -488,7 +488,7 @@ func (q *ladderQueue) pop() event {
 // carry larger seqs still. If a run is ever split by an exhausted
 // bottom, the next call simply returns the remainder; a wavefront is
 // an optimization batch, not a semantic unit.
-func (q *ladderQueue) popWavefront(dst []event, limDue Time, limSeq uint64) []event {
+func (q *ladderQueue) popWavefront(dst []event) []event {
 	if q.n == 0 {
 		panic("sim: pop from empty calendar")
 	}
@@ -496,18 +496,9 @@ func (q *ladderQueue) popWavefront(dst []event, limDue Time, limSeq uint64) []ev
 		q.refill()
 	}
 	due := q.bottom[q.botIdx].due
-	if due > limDue || (due == limDue && q.bottom[q.botIdx].seq >= limSeq) {
-		return dst
-	}
 	end := q.botIdx + 1
-	if due == limDue {
-		for end < len(q.bottom) && q.bottom[end].due == due && q.bottom[end].seq < limSeq {
-			end++
-		}
-	} else {
-		for end < len(q.bottom) && q.bottom[end].due == due {
-			end++
-		}
+	for end < len(q.bottom) && q.bottom[end].due == due {
+		end++
 	}
 	for k := q.botIdx; k < end; k++ {
 		it := q.bottom[k]

@@ -79,8 +79,8 @@ func TestLadderMatchesHeapRegimes(t *testing.T) {
 			now := Time(0)
 			var seq uint64
 			push := func(due Time) {
-				heap.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
-				ladder.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+				heap.push(event{due: due, seq: seq, fn: func(any) {}})
+				ladder.push(event{due: due, seq: seq, fn: func(any) {}})
 				seq++
 			}
 			for step := 0; step < 60000; step++ {
@@ -117,7 +117,7 @@ func TestLadderMatchesHeapQuick(t *testing.T) {
 		for i, v := range raw {
 			// Map the fuzz value onto a mix of magnitudes and repeats.
 			due := Time(v%97) * math.Exp2(float64(v%11)-5)
-			e := event{due: due, seq: uint64(i), fn: func(*Env, any) {}}
+			e := event{due: due, seq: uint64(i), fn: func(any) {}}
 			heap.push(e)
 			ladder.push(e)
 		}
@@ -142,8 +142,8 @@ func TestLadderBottomSpill(t *testing.T) {
 	ladder := calendar(newLadderQueue())
 	var seq uint64
 	push := func(due Time) {
-		heap.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
-		ladder.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+		heap.push(event{due: due, seq: seq, fn: func(any) {}})
+		ladder.push(event{due: due, seq: seq, fn: func(any) {}})
 		seq++
 	}
 	// A big far-future block lands in top, converts to a wide bottom
@@ -172,8 +172,8 @@ func TestLadderDeepRecursion(t *testing.T) {
 	rng := xorshift64(99)
 	var seq uint64
 	push := func(due Time) {
-		heap.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
-		ladder.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+		heap.push(event{due: due, seq: seq, fn: func(any) {}})
+		ladder.push(event{due: due, seq: seq, fn: func(any) {}})
 		seq++
 	}
 	for i := 0; i < 100000; i++ {
@@ -196,7 +196,7 @@ func TestLadderExtremeTimes(t *testing.T) {
 		1.5, 1.5, 0.003, 3.0000000000000004, 3.0000000000000004,
 	}
 	for i, due := range times {
-		e := event{due: due, seq: uint64(i), fn: func(*Env, any) {}}
+		e := event{due: due, seq: uint64(i), fn: func(any) {}}
 		heap.push(e)
 		ladder.push(e)
 	}
@@ -206,7 +206,7 @@ func TestLadderExtremeTimes(t *testing.T) {
 		if he.due != le.due || he.seq != le.seq {
 			t.Fatalf("pop %d mismatch: heap (due=%v seq=%d), ladder (due=%v seq=%d)", k, he.due, he.seq, le.due, le.seq)
 		}
-		e := event{due: he.due, seq: uint64(len(times) + k), fn: func(*Env, any) {}}
+		e := event{due: he.due, seq: uint64(len(times) + k), fn: func(any) {}}
 		heap.push(e)
 		ladder.push(e)
 	}
@@ -263,7 +263,7 @@ func TestSimulatorsAgreeAcrossCalendars(t *testing.T) {
 		s := NewWithCalendar(c)
 		rng := xorshift64(7)
 		var grow Func
-		grow = func(_ *Env, arg any) {
+		grow = func(arg any) {
 			depth := arg.(int)
 			trace = append(trace, s.Now())
 			if depth >= 12 {

@@ -106,21 +106,11 @@ type Simulator struct {
 	stopped bool
 	// wf enables wavefront batch execution (captured from the process
 	// default at New); wfBuf is the caller-owned scratch popWavefront
-	// copies runs into, reused across batches. wfBegin/wfEnd are the
-	// executor's hooks around a multi-event batch (see
-	// SetWavefrontHooks), and wfStats is the batch-size census.
+	// copies runs into, reused across batches, and wfStats is the
+	// batch-size census.
 	wf      bool
 	wfBuf   []event
-	wfBegin func(env *Env, size int)
-	wfEnd   func(env *Env)
 	wfStats WavefrontStats
-	// env is the coordinator execution context handed to every event
-	// body that runs on this thread (all of them, on a serial
-	// simulator).
-	env Env
-	// sh is the conservative-parallel kernel state; nil on a serial
-	// simulator (see shard.go).
-	sh *sharded
 }
 
 // New returns an empty simulator with the clock at zero, backed by the
@@ -134,7 +124,6 @@ func New() *Simulator {
 // calendar implementation.
 func NewWithCalendar(c Calendar) *Simulator {
 	s := &Simulator{kind: c, wf: DefaultWavefront()}
-	s.env = Env{shard: -1, s: s}
 	switch c {
 	case Ladder:
 		s.lq = newLadderQueue()
@@ -154,19 +143,8 @@ func (s *Simulator) Calendar() Calendar { return s.kind }
 // as batched wavefronts (captured from the process default at New).
 func (s *Simulator) Wavefront() bool { return s.wf }
 
-// SetWavefrontHooks installs the executor's callbacks around each
-// multi-event wavefront: begin runs before a batch's first event with
-// the batch size, end after its last. The network layer uses them to
-// pin a struct-of-arrays view of lane state for the batch's duration.
-// Hooks only fire around batches of two or more events — a singleton
-// run is executed exactly like a plain Step. Either hook may be nil.
-func (s *Simulator) SetWavefrontHooks(begin func(env *Env, size int), end func(env *Env)) {
-	s.wfBegin, s.wfEnd = begin, end
-}
-
 // WavefrontStats returns the batch-size census accumulated so far.
-// All counters stay zero when wavefront execution is off or the
-// simulator runs sharded (shard segments keep their own drains).
+// All counters stay zero when wavefront execution is off.
 func (s *Simulator) WavefrontStats() WavefrontStats { return s.wfStats }
 
 // Now returns the current simulated time.
@@ -184,7 +162,7 @@ func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 // calendar. An Action is a single pointer, so boxing it into the
 // record's arg is allocation-free; only the closure the caller built
 // costs an allocation.
-func runClosure(_ *Env, arg any) { arg.(Action)() }
+func runClosure(arg any) { arg.(Action)() }
 
 // At schedules action to run at absolute time t. Scheduling in the
 // past panics: it is always a logic error in a discrete-event model.
@@ -241,15 +219,8 @@ func (s *Simulator) AfterCall(delay Time, fn Func, arg any) {
 	s.AtCall(s.now+delay, fn, arg)
 }
 
-// Pending reports the number of events waiting on the calendar (all
-// shard calendars included on a sharded simulator).
-func (s *Simulator) Pending() int {
-	p := s.queue.Len()
-	if s.sh != nil {
-		p += s.sh.pending()
-	}
-	return p
-}
+// Pending reports the number of events waiting on the calendar.
+func (s *Simulator) Pending() int { return s.queue.Len() }
 
 // Stop ends the simulation: the running Run/RunUntil loop exits after
 // the current event returns, and any further scheduling panics with a
@@ -262,14 +233,8 @@ func (s *Simulator) Stop() { s.stopped = true }
 func (s *Simulator) Stopped() bool { return s.stopped }
 
 // Step executes the earliest pending event, advancing the clock to its
-// due time. It reports whether an event was executed. Step is a serial
-// debugging entry point: on a sharded simulator it would pop only the
-// serial calendar and execute events out of global order, so it panics
-// there — drive a sharded kernel with Run or RunUntil.
+// due time. It reports whether an event was executed.
 func (s *Simulator) Step() bool {
-	if s.sh != nil {
-		panic("sim: Step on a sharded simulator (use Run or RunUntil)")
-	}
 	if s.stopped {
 		return false
 	}
@@ -287,19 +252,12 @@ func (s *Simulator) Step() bool {
 	}
 	s.now = e.due
 	s.fired++
-	e.fn(&s.env, e.arg)
+	e.fn(e.arg)
 	return true
 }
 
 // Run executes events until the calendar is empty or Stop is called.
-// On a sharded simulator (EnableSharding) this is the coordinator of
-// the conservative-parallel kernel; worker goroutines live only for
-// the duration of the call.
 func (s *Simulator) Run() {
-	if s.sh != nil {
-		s.runSharded(math.Inf(1))
-		return
-	}
 	if s.wf && s.limit == 0 {
 		s.runWavefronts(math.Inf(1))
 		return
@@ -315,16 +273,6 @@ func (s *Simulator) Run() {
 // horizon if the calendar still holds later events, or at the last
 // executed event otherwise, in which case ErrStalled is returned.
 func (s *Simulator) RunUntil(horizon Time) error {
-	if s.sh != nil {
-		s.runSharded(horizon)
-		if s.Pending() == 0 {
-			return ErrStalled
-		}
-		if !s.stopped {
-			s.now = horizon
-		}
-		return nil
-	}
 	if s.wf && s.limit == 0 {
 		s.runWavefronts(horizon)
 	} else {
@@ -366,19 +314,15 @@ func (s *Simulator) runWavefronts(horizon Time) {
 		}
 		var wf []event
 		if s.lq != nil {
-			wf = s.lq.popWavefront(s.wfBuf[:0], math.Inf(1), math.MaxUint64)
+			wf = s.lq.popWavefront(s.wfBuf[:0])
 		} else {
-			wf = s.queue.popWavefront(s.wfBuf[:0], math.Inf(1), math.MaxUint64)
+			wf = s.queue.popWavefront(s.wfBuf[:0])
 		}
 		n := len(wf)
 		s.now = wf[0].due
 		s.wfStats.Batches++
 		s.wfStats.Events += uint64(n)
 		s.wfStats.Hist[histBucket(n)]++
-		batch := n > 1
-		if batch && s.wfBegin != nil {
-			s.wfBegin(&s.env, n)
-		}
 		for k := 0; k < n; k++ {
 			if s.stopped {
 				// Stop landed mid-batch: hand the unexecuted tail
@@ -390,10 +334,7 @@ func (s *Simulator) runWavefronts(horizon Time) {
 				break
 			}
 			s.fired++
-			wf[k].fn(&s.env, wf[k].arg)
-		}
-		if batch && s.wfEnd != nil {
-			s.wfEnd(&s.env)
+			wf[k].fn(wf[k].arg)
 		}
 		s.wfBuf = wf
 	}

@@ -84,10 +84,10 @@ func TestSchedulingInPastPanics(t *testing.T) {
 				mustPanicWith(t, "sim: scheduling into the past: t=5 is before now=10",
 					func() { s.At(5, func() {}) })
 				mustPanicWith(t, "sim: scheduling into the past: t=9.5 is before now=10",
-					func() { s.AtCall(9.5, func(*Env, any) {}, nil) })
+					func() { s.AtCall(9.5, func(any) {}, nil) })
 				// The boundary is inclusive: scheduling at exactly now
 				// is legal and fires after pending same-instant events.
-				s.AtCall(10, func(*Env, any) {}, nil)
+				s.AtCall(10, func(any) {}, nil)
 			})
 			s.Run()
 			if !ran {
@@ -235,7 +235,7 @@ func TestStopHaltsRunUntil(t *testing.T) {
 func TestAtCallRecordsFireInOrder(t *testing.T) {
 	s := New()
 	var order []int
-	record := func(_ *Env, arg any) { order = append(order, arg.(int)) }
+	record := func(arg any) { order = append(order, arg.(int)) }
 	s.AtCall(2, record, 2)
 	s.At(1, func() { order = append(order, 1) })
 	s.AtCall(2, record, 3) // same instant: scheduling order wins
@@ -265,7 +265,7 @@ func TestScheduleIsAllocationFree(t *testing.T) {
 	for _, c := range []Calendar{Ladder, Heap} {
 		t.Run(c.String(), func(t *testing.T) {
 			s := NewWithCalendar(c)
-			noop := func(*Env, any) {}
+			noop := func(any) {}
 			// Warm the calendar capacity.
 			for i := 0; i < 64; i++ {
 				s.AtCall(1, noop, nil)

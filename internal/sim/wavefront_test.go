@@ -1,15 +1,11 @@
 package sim
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // The wavefront contract extends the calendar contract the
 // heap-vs-ladder differentials pin: popWavefront must yield exactly
 // the events repeated pop calls would, in exactly the same (due, seq)
-// order, on either calendar and under any bound. These drivers reuse
+// order, on either calendar. These drivers reuse
 // the differential regimes from ladder_test.go with wavefront drains
 // on one side.
 
@@ -20,9 +16,9 @@ func drainWavefrontMatches(t *testing.T, batched, serial calendar) {
 	t.Helper()
 	var buf []event
 	for serial.Len() > 0 {
-		wf := batched.popWavefront(buf[:0], math.Inf(1), math.MaxUint64)
+		wf := batched.popWavefront(buf[:0])
 		if len(wf) == 0 {
-			t.Fatalf("unbounded popWavefront returned empty with %d events pending", batched.Len())
+			t.Fatalf("popWavefront returned empty with %d events pending", batched.Len())
 		}
 		for i, e := range wf {
 			if e.due != wf[0].due {
@@ -77,8 +73,8 @@ func TestWavefrontMatchesPopRegimes(t *testing.T) {
 				var seq uint64
 				var buf []event
 				push := func(due Time) {
-					batched.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
-					serial.push(event{due: due, seq: seq, fn: func(*Env, any) {}})
+					batched.push(event{due: due, seq: seq, fn: func(any) {}})
+					serial.push(event{due: due, seq: seq, fn: func(any) {}})
 					seq++
 				}
 				for step := 0; step < 30000; step++ {
@@ -86,7 +82,7 @@ func TestWavefrontMatchesPopRegimes(t *testing.T) {
 					case rng.next()%10 < 4 && serial.Len() > 0:
 						// Interleave batch drains with pushes, as the
 						// simulator's drain loop does.
-						wf := batched.popWavefront(buf[:0], math.Inf(1), math.MaxUint64)
+						wf := batched.popWavefront(buf[:0])
 						for _, e := range wf {
 							se := serial.pop()
 							if se.due != e.due || se.seq != e.seq {
@@ -109,61 +105,5 @@ func TestWavefrontMatchesPopRegimes(t *testing.T) {
 				drainWavefrontMatches(t, batched, serial)
 			})
 		}
-	}
-}
-
-// TestWavefrontBoundQuick checks the exclusive (limDue, limSeq) bound
-// — the contract the sharded kernel's conservative segments rely on:
-// a bounded wavefront yields exactly the front events strictly below
-// the bound, and never splits an instant's order.
-func TestWavefrontBoundQuick(t *testing.T) {
-	f := func(raw []uint32, limRaw uint32) bool {
-		heap := calendar(&eventQueue{})
-		ladder := calendar(newLadderQueue())
-		for i, v := range raw {
-			due := Time(v%97) * math.Exp2(float64(v%11)-5)
-			e := event{due: due, seq: uint64(i), fn: func(*Env, any) {}}
-			heap.push(e)
-			ladder.push(e)
-		}
-		limDue := Time(limRaw%97) * math.Exp2(float64(limRaw%11)-5)
-		limSeq := uint64(limRaw % 7)
-		var hbuf, lbuf []event
-		for heap.Len() > 0 && ladder.Len() > 0 {
-			hwf := heap.popWavefront(hbuf[:0], limDue, limSeq)
-			lwf := ladder.popWavefront(lbuf[:0], limDue, limSeq)
-			if len(hwf) != len(lwf) {
-				return false
-			}
-			if len(hwf) == 0 {
-				break
-			}
-			for i := range hwf {
-				if hwf[i].due != lwf[i].due || hwf[i].seq != lwf[i].seq {
-					return false
-				}
-				// Exclusive bound: nothing at or past (limDue, limSeq)
-				// may emerge.
-				if hwf[i].due > limDue || (hwf[i].due == limDue && hwf[i].seq >= limSeq) {
-					return false
-				}
-			}
-			hbuf, lbuf = hwf, lwf
-		}
-		// Both calendars must retain exactly the events at or past the
-		// bound, in identical order.
-		for heap.Len() > 0 {
-			he, le := heap.pop(), ladder.pop()
-			if he.due != le.due || he.seq != le.seq {
-				return false
-			}
-			if he.due < limDue || (he.due == limDue && he.seq < limSeq) {
-				return false
-			}
-		}
-		return ladder.Len() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

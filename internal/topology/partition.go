@@ -84,85 +84,6 @@ func (m *Mesh) NearestCornerInPlane(id NodeID, d0, d1 int) (nearest, opposite No
 	return m.ID(near...), m.ID(opp...)
 }
 
-// Partition divides a mesh's nodes into k contiguous shards for the
-// conservative-parallel simulation kernel. The split is a slab
-// decomposition along the axis with the largest extent that can hold
-// k slabs: contiguous coordinate ranges minimize the channels crossing
-// shard boundaries (the cut), which is what bounds cross-shard event
-// traffic. A mesh whose every extent is smaller than k falls back to
-// contiguous node-ID blocks — still contiguous in memory, still
-// balanced within one node.
-//
-// Owner is pure arithmetic (no per-node table), so a partition of an
-// implicit million-node mesh costs nothing to build or hold.
-type Partition struct {
-	m    *Mesh
-	k    int
-	axis int // slab axis; -1 = flat node-ID blocks
-}
-
-// NewPartition builds a k-way partition of m. k is clamped to
-// [1, Nodes()].
-func NewPartition(m *Mesh, k int) *Partition {
-	if k < 1 {
-		k = 1
-	}
-	if k > m.Nodes() {
-		k = m.Nodes()
-	}
-	axis := -1
-	best := 0
-	for d := 0; d < m.NDims(); d++ {
-		if ext := m.Dim(d); ext >= k && ext > best {
-			axis, best = d, ext
-		}
-	}
-	return &Partition{m: m, k: k, axis: axis}
-}
-
-// Shards returns the shard count.
-func (p *Partition) Shards() int { return p.k }
-
-// Axis returns the slab axis, or -1 when the partition fell back to
-// flat node-ID blocks.
-func (p *Partition) Axis() int { return p.axis }
-
-// Owner returns the shard owning node id, in [0, Shards()).
-func (p *Partition) Owner(id NodeID) int {
-	if p.axis >= 0 {
-		return p.m.CoordAxis(id, p.axis) * p.k / p.m.Dim(p.axis)
-	}
-	return int(id) * p.k / p.m.Nodes()
-}
-
-// Sizes returns the node count of each shard.
-func (p *Partition) Sizes() []int {
-	out := make([]int, p.k)
-	for id := 0; id < p.m.Nodes(); id++ {
-		out[p.Owner(NodeID(id))]++
-	}
-	return out
-}
-
-// CutChannels counts the directed channels whose endpoints live in
-// different shards — the partition-quality metric: every such channel
-// is a potential cross-shard event hand-off.
-func (p *Partition) CutChannels() int {
-	cut := 0
-	var buf []NodeID
-	for id := 0; id < p.m.Nodes(); id++ {
-		from := NodeID(id)
-		o := p.Owner(from)
-		buf = p.m.AppendNeighbors(from, buf[:0])
-		for _, nb := range buf {
-			if p.Owner(nb) != o {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
 // HalfSpace partitions the nodes of ids by coordinate d: nodes with
 // coordinate < split go to lo, the rest to hi.
 func (m *Mesh) HalfSpace(ids []NodeID, d, split int) (lo, hi []NodeID) {
